@@ -11,14 +11,16 @@
 //! `SACCS_INGEST_OUT` as JSON lines; the file is a pure function of the
 //! build and `scripts/ci.sh` byte-diffs two runs.
 //!
-//! Phase 2 (throughput A/B): reviews/sec and pinned-probe latency as the
-//! seal cadence sweeps `{16, 64, 256}` with compaction off — three
-//! different sealed-segment counts over the same stream, isolating the
-//! cost of probing across more (smaller) segments. Timings are printed
-//! and land in the `BENCH_ingest.json` headline, never in the export.
+//! Phase 2 (index-size sweep): reviews/sec as the index grows over
+//! `{32, 1k, 10k}` tags, each with ANN off and on, over one review
+//! stream drawn from a fixed 2k-tag vocabulary. With `SACCS_OBS=json`
+//! the `index.ingest.{fold,postings,publish}` spans split each review's
+//! cost into its fold, posting-update and publish steps (mean µs per
+//! review at each point). Timings are printed and land in the
+//! `BENCH_ingest.json` headline, never in the export.
 //!
-//! Environment: `SACCS_INGEST_REVIEWS` (phase-2 stream length, default
-//! 3000), `SACCS_INGEST_OUT` (default `INGEST_report.jsonl`),
+//! Environment: `SACCS_INGEST_REVIEWS` (phase-2 stream length per point,
+//! default 1000), `SACCS_INGEST_OUT` (default `INGEST_report.jsonl`),
 //! `SACCS_INGEST_DIR` (default `target/ingest-bench`, wiped at start),
 //! `SACCS_OBS=json` to emit `BENCH_ingest.json`.
 
@@ -34,8 +36,17 @@ use std::time::Instant;
 const N_ENTITIES: usize = 100;
 const EQ_REVIEWS: usize = 256;
 const EQ_CHECK_EVERY: usize = 64;
-const TIMING_REPS: usize = 3;
 const SEED: u64 = 0x1A6E57;
+/// Phase-2 index sizes (tags).
+const SWEEP_TAGS: [usize; 3] = [32, 1_000, 10_000];
+/// Phase-2 reviews draw their tags from this many synthetic tags.
+const SWEEP_REVIEW_VOCAB: usize = 2_000;
+/// The per-review steps of `LiveIndex::add_review`, as span names.
+const STEPS: [(&str, &str); 3] = [
+    ("fold", "index.ingest.fold"),
+    ("postings", "index.ingest.postings"),
+    ("publish", "index.ingest.publish"),
+];
 
 fn env_or(name: &str, default: &str) -> String {
     std::env::var(name).unwrap_or_else(|_| default.to_string())
@@ -132,11 +143,17 @@ fn check_equivalence(
     }
 }
 
+/// Total nanoseconds recorded so far under each of [`STEPS`]' spans
+/// (zero unless an exporter is installed).
+fn step_totals() -> [u64; 3] {
+    STEPS.map(|(_, span)| saccs_obs::registry().histogram(span).sum())
+}
+
 fn main() {
     saccs_bench::obs_init();
-    let n_perf: usize = env_or("SACCS_INGEST_REVIEWS", "3000")
+    let n_perf: usize = env_or("SACCS_INGEST_REVIEWS", "1000")
         .parse()
-        .unwrap_or(3000);
+        .unwrap_or(1000);
     let out_path = env_or("SACCS_INGEST_OUT", "INGEST_report.jsonl");
     let dir = env_or("SACCS_INGEST_DIR", "target/ingest-bench");
     let lexicon = Lexicon::new(Domain::Restaurants);
@@ -226,55 +243,47 @@ fn main() {
     println!("Phase 1: recovery round trip bitwise identical\n");
     drop(recovered);
 
-    // Phase 2: seal-cadence sweep, compaction off — three segment
-    // counts over the same stream.
+    // Phase 2: index-size sweep. Every point ingests the same stream;
+    // only the index size and the ANN switch differ.
+    let sweep_vocab = synthetic_tags(&lexicon, SWEEP_TAGS[SWEEP_TAGS.len() - 1], 0x5EED);
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xB0B);
-    let perf_stream = stream(&vocab, n_perf, &mut rng);
+    let perf_stream = stream(
+        &sweep_vocab[..SWEEP_REVIEW_VOCAB.min(sweep_vocab.len())],
+        n_perf,
+        &mut rng,
+    );
     let mut headline: Vec<(String, f64)> = vec![("reviews".into(), n_perf as f64)];
-    println!("Phase 2: {n_perf} reviews per cadence, probe latency best of {TIMING_REPS}");
-    for seal_every in [16usize, 64, 256] {
-        let live = LiveIndex::new(
-            sim(),
-            IndexConfig::default(),
-            LiveConfig {
-                seal_every,
-                max_segments: 0,
-                background_compaction: false,
-            },
-        );
-        live.add_tags(&index_tags);
-        let t0 = Instant::now();
-        for (entity_id, tags) in &perf_stream {
-            live.add_review(*entity_id, tags);
-        }
-        let ingest_wall = t0.elapsed().as_secs_f64();
-        let rps = n_perf as f64 / ingest_wall;
-        let segments = live.segment_count();
-
-        let snapshot = live.pin();
-        let histogram = format!("ingest.probe.s{seal_every}");
-        let mut best = f64::INFINITY;
-        for _ in 0..TIMING_REPS {
-            let mut sink = 0usize;
+    println!("Phase 2: {n_perf} reviews per point over {N_ENTITIES} entities");
+    for tags in SWEEP_TAGS {
+        let tags = tags.min(sweep_vocab.len());
+        for ann in [false, true] {
+            let live = LiveIndex::new(
+                sim(),
+                IndexConfig {
+                    ann_enabled: ann,
+                    ..IndexConfig::default()
+                },
+                LiveConfig::default(),
+            );
+            live.add_tags(&sweep_vocab[..tags]);
+            let before = step_totals();
             let t0 = Instant::now();
-            for probe in &probes {
-                let t1 = Instant::now();
-                sink += live.probe_pinned(&snapshot, probe).len();
-                saccs_obs::registry()
-                    .histogram(&histogram)
-                    .record(t1.elapsed().as_nanos() as u64);
+            for (entity_id, review) in &perf_stream {
+                live.add_review(*entity_id, review);
             }
-            best = best.min(t0.elapsed().as_secs_f64());
-            assert!(sink > 0, "probes all came back empty");
+            let rps = n_perf as f64 / t0.elapsed().as_secs_f64();
+            let point = format!("t{tags}_{}", if ann { "ann" } else { "scan" });
+            let mut line = format!("  tags={tags:>5} ann={ann:<5}: {rps:>8.0} reviews/s");
+            headline.push((format!("rps_{point}"), rps));
+            if saccs_obs::enabled() {
+                for ((step, _), (b, a)) in STEPS.iter().zip(before.iter().zip(step_totals())) {
+                    let us = (a - b) as f64 / 1e3 / n_perf as f64;
+                    let _ = write!(line, ", {step} {us:.1} us");
+                    headline.push((format!("{step}_us_{point}"), us));
+                }
+            }
+            println!("{line}");
         }
-        println!(
-            "  seal_every={seal_every:>3}: {segments:>3} segments, \
-             {rps:>9.0} reviews/s, probes {:.3} ms",
-            best * 1e3
-        );
-        headline.push((format!("rps_s{seal_every}"), rps));
-        headline.push((format!("probe_ms_s{seal_every}"), best * 1e3));
-        headline.push((format!("segments_s{seal_every}"), segments as f64));
     }
 
     match std::fs::write(&out_path, &report) {

@@ -7,7 +7,7 @@ use saccs_text::{ConceptualSimilarity, SubjectiveTag, TagSimilarity};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::MutexGuard;
+use std::sync::{Arc, MutexGuard};
 
 /// One entity mapping under an index tag.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -18,6 +18,101 @@ pub struct IndexEntry {
     /// Degree rescaled to `[0, 1]` across the tag's entities — the form
     /// Table 1 displays.
     pub normalized: f32,
+}
+
+/// One tag's posting list. The `Arc` lets the live writer and every
+/// snapshot it published share the lists a review did not touch: a
+/// publish copies only what changed (`Arc::make_mut` on the writer side).
+pub type PostingList = Arc<Vec<IndexEntry>>;
+
+/// Index tag → posting list, as two aligned columns: the ascending tag
+/// list and the lists. The tag list sits behind an `Arc`, so every
+/// snapshot of one tag set — and its ANN cells, whose candidate ids are
+/// positions in it — shares a single copy; cloning the map copies
+/// pointers only.
+#[derive(Clone, Default)]
+pub(crate) struct PostingMap {
+    tags: Arc<Vec<SubjectiveTag>>,
+    lists: Vec<PostingList>,
+}
+
+impl PostingMap {
+    /// The ascending tag list; a tag's position in it is its id.
+    pub(crate) fn tag_list(&self) -> &Arc<Vec<SubjectiveTag>> {
+        &self.tags
+    }
+
+    fn position(&self, tag: &SubjectiveTag) -> Option<usize> {
+        self.tags.binary_search(tag).ok()
+    }
+
+    pub(crate) fn get(&self, tag: &SubjectiveTag) -> Option<&PostingList> {
+        self.position(tag).map(|id| &self.lists[id])
+    }
+
+    pub(crate) fn contains_key(&self, tag: &SubjectiveTag) -> bool {
+        self.position(tag).is_some()
+    }
+
+    /// The list of the tag with id `id`.
+    pub(crate) fn list(&self, id: usize) -> &PostingList {
+        &self.lists[id]
+    }
+
+    pub(crate) fn list_mut(&mut self, id: usize) -> &mut PostingList {
+        &mut self.lists[id]
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.lists.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lists.is_empty()
+    }
+
+    pub(crate) fn keys(&self) -> impl ExactSizeIterator<Item = &SubjectiveTag> {
+        self.tags.iter()
+    }
+
+    /// `(tag, list)` in ascending tag order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (&SubjectiveTag, &PostingList)> {
+        self.tags.iter().zip(&self.lists)
+    }
+
+    /// Set the list of every given tag (later duplicates win). Known
+    /// tags are replaced in place; a new tag changes the tag set and
+    /// rebuilds the tag list.
+    pub(crate) fn insert_all(
+        &mut self,
+        items: impl IntoIterator<Item = (SubjectiveTag, PostingList)>,
+    ) {
+        let mut fresh: BTreeMap<SubjectiveTag, PostingList> = BTreeMap::new();
+        for (tag, list) in items {
+            match self.position(&tag) {
+                Some(id) => self.lists[id] = list,
+                None => {
+                    fresh.insert(tag, list);
+                }
+            }
+        }
+        if !fresh.is_empty() {
+            fresh.extend(self.iter().map(|(t, l)| (t.clone(), Arc::clone(l))));
+            *self = fresh.into_iter().collect();
+        }
+    }
+}
+
+impl FromIterator<(SubjectiveTag, PostingList)> for PostingMap {
+    /// Later duplicates win, as with `BTreeMap::insert`.
+    fn from_iter<I: IntoIterator<Item = (SubjectiveTag, PostingList)>>(iter: I) -> Self {
+        let sorted: BTreeMap<SubjectiveTag, PostingList> = iter.into_iter().collect();
+        let (tags, lists) = sorted.into_iter().unzip();
+        PostingMap {
+            tags: Arc::new(tags),
+            lists,
+        }
+    }
 }
 
 /// The degree-of-truth formula (Equation 1 and its variants).
@@ -119,7 +214,7 @@ pub struct SubjectiveIndex {
     /// threads.
     custom_similarity: Option<Box<dyn TagSimilarity + Send + Sync>>,
     /// Index tag → entity mappings, sorted by descending degree of truth.
-    entries: BTreeMap<SubjectiveTag, Vec<IndexEntry>>,
+    entries: PostingMap,
     /// Evidence retained for incremental re-indexing rounds.
     evidence: Vec<EntityEvidence>,
     /// The user tag history is the only probe-path state that mutates at
@@ -131,16 +226,16 @@ pub struct SubjectiveIndex {
     vector_source: Option<Box<dyn TagVectorSource>>,
     /// ANN sidecar, rebuilt eagerly by every `&mut` entry mutation when
     /// `ann_enabled` — probes stay `&self`.
-    ann: Option<AnnState>,
+    ann: Option<Arc<AnnCells>>,
 }
 
-/// The ANN sidecar: the lexicographic tag list candidate ids index into,
-/// its posting lists (cloned at rebuild so a rescore is one indexed read
-/// instead of a string-keyed tree lookup per candidate), plus whichever
-/// candidate structure fits the similarity in use.
-struct AnnState {
-    tags: Vec<SubjectiveTag>,
-    postings: Vec<Vec<IndexEntry>>,
+/// The ANN sidecar: the ascending tag list candidate ids index into
+/// (the same `Arc` as the entries' tag list, so a candidate's posting
+/// list is one indexed read), plus whichever candidate structure fits
+/// the similarity in use. A pure function of the tag set, so the live
+/// path builds it once per tag set and every publish shares the `Arc`.
+pub(crate) struct AnnCells {
+    tags: Arc<Vec<SubjectiveTag>>,
     kind: AnnKind,
 }
 
@@ -149,13 +244,52 @@ enum AnnKind {
     Graph(GraphAnnIndex),
 }
 
+impl AnnCells {
+    /// Semantic cells over `tags` (an entries map's ascending tag list)
+    /// for the lexicon-backed similarity.
+    pub(crate) fn semantic(
+        similarity: &ConceptualSimilarity,
+        tags: &Arc<Vec<SubjectiveTag>>,
+    ) -> Self {
+        AnnCells {
+            kind: AnnKind::Semantic(SemanticCandidateIndex::build(similarity, tags)),
+            tags: Arc::clone(tags),
+        }
+    }
+
+    /// The tag list candidate ids index into.
+    #[cfg(test)]
+    pub(crate) fn tags(&self) -> &[SubjectiveTag] {
+        &self.tags
+    }
+
+    /// `(tag id, tag_similarity(probe, tag))` for every tag whose
+    /// similarity to `probe` can exceed `theta`, ascending by id. The
+    /// semantic cells prune by their sound upper bound; a graph has no
+    /// bound, so every tag is scored.
+    pub(crate) fn scored_candidates(
+        &self,
+        similarity: &ConceptualSimilarity,
+        probe: &SubjectiveTag,
+        theta: f32,
+    ) -> Vec<(u32, f32)> {
+        match &self.kind {
+            AnnKind::Semantic(cells) => cells.rescore(similarity, probe, theta, &self.tags).scored,
+            AnnKind::Graph(_) => (0u32..)
+                .zip(self.tags.iter())
+                .map(|(id, tag)| (id, similarity.tag_similarity(probe, tag)))
+                .collect(),
+        }
+    }
+}
+
 impl SubjectiveIndex {
     pub fn new(similarity: ConceptualSimilarity, config: IndexConfig) -> Self {
         SubjectiveIndex {
             config,
             similarity,
             custom_similarity: None,
-            entries: BTreeMap::new(),
+            entries: PostingMap::default(),
             evidence: Vec::new(),
             history: Mutex::new(UserTagHistory::new()),
             vector_source: None,
@@ -219,8 +353,7 @@ impl SubjectiveIndex {
         if !self.config.ann_enabled || self.entries.is_empty() {
             return;
         }
-        let tags: Vec<SubjectiveTag> = self.entries.keys().cloned().collect();
-        let postings: Vec<Vec<IndexEntry>> = self.entries.values().cloned().collect();
+        let tags = Arc::clone(self.entries.tag_list());
         let kind = if self.custom_similarity.is_none() {
             Some(AnnKind::Semantic(SemanticCandidateIndex::build(
                 &self.similarity,
@@ -239,11 +372,35 @@ impl SubjectiveIndex {
             // fallback probes keep scanning.
             None
         };
-        self.ann = kind.map(|kind| AnnState {
-            tags,
-            postings,
-            kind,
-        });
+        self.ann = kind.map(|kind| Arc::new(AnnCells { tags, kind }));
+    }
+
+    /// A snapshot index over precomputed posting lists (the live-ingest
+    /// publish path: `crate::live` maintains the lists incrementally and
+    /// hands them over here, so a snapshot probes exactly like a
+    /// from-scratch build). `cells` must be the semantic cells of
+    /// exactly this tag set; with ANN on they become the sidecar as-is,
+    /// shared with every other snapshot of the same tag set.
+    pub(crate) fn from_postings(
+        similarity: ConceptualSimilarity,
+        config: IndexConfig,
+        entries: PostingMap,
+        cells: &Arc<AnnCells>,
+    ) -> Self {
+        debug_assert!(Arc::ptr_eq(entries.tag_list(), &cells.tags));
+        let mut index = SubjectiveIndex::new(similarity, config);
+        index.entries = entries;
+        if index.config.ann_enabled && !index.entries.is_empty() {
+            index.ann = Some(Arc::clone(cells));
+        }
+        index
+    }
+
+    /// The ANN sidecar's cells, when one is built (snapshot-sharing
+    /// tests compare these by pointer).
+    #[cfg(test)]
+    pub(crate) fn ann_cells(&self) -> Option<&Arc<AnnCells>> {
+        self.ann.as_ref()
     }
 
     /// Register extracted evidence for one entity (idempotent per entity:
@@ -302,15 +459,6 @@ impl SubjectiveIndex {
         postings
     }
 
-    /// Replace the entries map wholesale (the live-ingest publish path:
-    /// `crate::live` computes posting lists incrementally and installs
-    /// them here so a snapshot index probes exactly like a from-scratch
-    /// build). Rebuilds the ANN sidecar for the new segment set.
-    pub(crate) fn replace_entries(&mut self, entries: BTreeMap<SubjectiveTag, Vec<IndexEntry>>) {
-        self.entries = entries;
-        self.rebuild_ann();
-    }
-
     /// (Re)index the given tags against all registered evidence. Existing
     /// tags are recomputed; construction fans out one task per tag across
     /// the `saccs-rt` pool. Posting lists come back positionally and each
@@ -321,9 +469,8 @@ impl SubjectiveIndex {
         saccs_obs::counter!("index.build.tags").add(tags.len() as u64);
         let this = &*self;
         let postings = saccs_rt::parallel_map(tags.len(), 4, |i| this.build_postings(&tags[i]));
-        for (tag, postings) in tags.iter().zip(postings) {
-            self.entries.insert(tag.clone(), postings);
-        }
+        self.entries
+            .insert_all(tags.iter().cloned().zip(postings.into_iter().map(Arc::new)));
         self.rebuild_ann();
     }
 
@@ -360,7 +507,7 @@ impl SubjectiveIndex {
     /// `index_tags` call rebuilds from the same extractions). Used by the
     /// Table-2 runs to evaluate 6/12/18-tag index states on one pipeline.
     pub fn clear_tags(&mut self) {
-        self.entries.clear();
+        self.entries = PostingMap::default();
         self.ann = None;
     }
 
@@ -382,7 +529,7 @@ impl SubjectiveIndex {
     /// (the §7 search-automaton alternative: exact/prefix/fuzzy surface
     /// lookups in O(|phrase|)).
     pub fn to_automaton(&self) -> crate::TagAutomaton {
-        crate::TagAutomaton::build(self.entries.iter().map(|(t, p)| (t.clone(), p.clone())))
+        crate::TagAutomaton::build(self.entries.iter().map(|(t, p)| (t.clone(), p.to_vec())))
     }
 
     /// Exact posting-list lookup.
@@ -418,7 +565,7 @@ impl SubjectiveIndex {
             })
             .collect();
         finalize_postings(&mut postings);
-        self.entries.insert(tag, postings);
+        self.entries.insert_all([(tag, Arc::new(postings))]);
         self.rebuild_ann();
     }
 
@@ -523,10 +670,10 @@ impl SubjectiveIndex {
     /// The exhaustive θ_filter fallback: score every index tag.
     fn probe_scan(&self, tag: &SubjectiveTag, theta: f32) -> Vec<(usize, f32)> {
         let mut hits: Vec<(usize, f32)> = Vec::new();
-        for (index_tag, postings) in &self.entries {
+        for (index_tag, postings) in self.entries.iter() {
             let sim = self.sim(tag, index_tag);
             if sim > theta {
-                for e in postings {
+                for e in postings.iter() {
                     hits.push((e.entity_id, sim * e.degree_of_truth));
                 }
             }
@@ -542,7 +689,7 @@ impl SubjectiveIndex {
     /// is bitwise equal. `None` when the probe tag cannot be embedded.
     fn probe_ann(
         &self,
-        state: &AnnState,
+        state: &AnnCells,
         tag: &SubjectiveTag,
         theta: f32,
     ) -> Option<Vec<(usize, f32)>> {
@@ -557,7 +704,7 @@ impl SubjectiveIndex {
                 for &(id, sim) in &sc.scored {
                     if sim > theta {
                         rescored += 1;
-                        for e in &state.postings[id as usize] {
+                        for e in self.entries.list(id as usize).iter() {
                             hits.push((e.entity_id, sim * e.degree_of_truth));
                         }
                     }
@@ -571,7 +718,7 @@ impl SubjectiveIndex {
                     let sim = self.sim(tag, &state.tags[id as usize]);
                     if sim > theta {
                         rescored += 1;
-                        for e in &state.postings[id as usize] {
+                        for e in self.entries.list(id as usize).iter() {
                             hits.push((e.entity_id, sim * e.degree_of_truth));
                         }
                     }
@@ -634,7 +781,7 @@ impl SubjectiveIndex {
     /// of silently dropping the next indexing round's input.
     pub fn snapshot(&self) -> bytes::Bytes {
         let mut out = String::new();
-        for (tag, entries) in &self.entries {
+        for (tag, entries) in self.entries.iter() {
             out.push_str(&tag.opinion);
             out.push('|');
             out.push_str(&tag.aspect);
@@ -665,7 +812,7 @@ impl SubjectiveIndex {
     /// the shortest decimal that parses back to the same bits.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<usize, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| format!("snapshot is not UTF-8: {e}"))?;
-        let mut entries: BTreeMap<SubjectiveTag, Vec<IndexEntry>> = BTreeMap::new();
+        let mut entries: Vec<(SubjectiveTag, PostingList)> = Vec::new();
         let mut history = UserTagHistory::new();
         for (ln, line) in text.lines().enumerate() {
             if line.is_empty() {
@@ -705,10 +852,10 @@ impl SubjectiveIndex {
                     _ => return Err(bad("posting needs id:degree:norm")),
                 }
             }
-            entries.insert(tag, postings);
+            entries.push((tag, Arc::new(postings)));
         }
-        let restored = entries.len();
-        self.entries = entries;
+        self.entries = entries.into_iter().collect();
+        let restored = self.entries.len();
         *self.history.lock() = history;
         self.rebuild_ann();
         Ok(restored)
@@ -718,7 +865,7 @@ impl SubjectiveIndex {
     /// and normalized degrees of truth).
     pub fn render_table(&self, top_k: usize, name_of: impl Fn(usize) -> String) -> String {
         let mut out = String::from("Tag                    Entities\n");
-        for (tag, postings) in &self.entries {
+        for (tag, postings) in self.entries.iter() {
             let mut first = true;
             for e in postings.iter().take(top_k) {
                 if first {

@@ -19,6 +19,30 @@
 //!   review tags — the incremental degrees, posting orders and
 //!   normalized columns are bitwise identical to a rebuild at every
 //!   ingest state.
+//!
+//! A review costs work proportional to the review, not to the index:
+//!
+//! * **Bounded fold.** Only the index tags the review's tags can match
+//!   are folded. The tag set's semantic cells
+//!   ([`crate::SemanticCandidateIndex`]) answer a reverse probe per
+//!   review tag at θ_index; the cell bound is sound and symmetric, so a
+//!   pruned tag would have added nothing. [`LiveIndex::add_tags`] does
+//!   the same the other way round: cells over the evidence's distinct
+//!   review tags bound each new index tag's fold column.
+//! * **Per-entity posting update.** Every list the entity is listed
+//!   under (its matched tags: their review count and tag total
+//!   changed) gets one entry moved to the position a binary search on
+//!   (degree descending, evidence slot ascending) gives — the order the
+//!   batch build's stable sort produces. The normalized column is
+//!   re-divided only when the list's max changed.
+//! * **Structurally shared snapshots.** Posting lists are
+//!   [`PostingList`] `Arc`s shared by the writer and every snapshot,
+//!   and the tag list is one `Arc` too; the writer copies a list
+//!   (`Arc::make_mut`) only when a review moves an entry in it, so a
+//!   publish copies pointers plus the touched lists and nothing else.
+//!   The semantic cells are a pure function of the tag set: they double
+//!   as every snapshot's ANN sidecar and are rebuilt only when
+//!   [`LiveIndex::add_tags`] changes the tag set.
 //! * **Merge independence.** Sealed segments carry records keyed by a
 //!   globally unique ingest seq; compaction merges by sorting on that
 //!   seq ([`crate::segment::merge_segments`]), so merged output — and
@@ -36,18 +60,21 @@
 //!
 //! The live path always scores with the lexicon-backed
 //! [`ConceptualSimilarity`] (a pure function of lexicon and config, so
-//! snapshot clones score identically); custom embedding similarities
-//! remain a frozen-index feature.
+//! snapshot clones score identically and share one typo memo); custom
+//! embedding similarities remain a frozen-index feature.
 
+use crate::ann::SemanticCandidateIndex;
 use crate::history::UserTagHistory;
 use crate::index::{
-    degree_value, finalize_postings, EntityEvidence, IndexConfig, IndexEntry, SubjectiveIndex,
+    degree_value, finalize_postings, AnnCells, EntityEvidence, IndexConfig, IndexEntry,
+    PostingList, PostingMap, SubjectiveIndex,
 };
 use crate::segment::{
     merge_segments, Manifest, MemSegment, ReviewRecord, SealedSegment, SegmentStore, StoreError,
 };
 use parking_lot::{Mutex, RwLock};
 use saccs_text::{ConceptualSimilarity, SubjectiveTag};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar};
@@ -133,7 +160,6 @@ struct TagAccum {
 /// Writer-side state, all under one mutex: the open mem-segment, the
 /// sealed segments (with their persistence status), and the incremental
 /// index state the publish step snapshots from.
-#[derive(Default)]
 struct Writer {
     mem: MemSegment,
     /// `(segment, persisted)` in seq order. A `false` flag marks a
@@ -147,25 +173,98 @@ struct Writer {
     /// walks entities identically.
     evidence: Vec<EntityEvidence>,
     entity_slot: BTreeMap<usize, usize>,
-    /// Per index tag, the partial fold per evidence slot (aligned with
-    /// `evidence`; missing trailing slots mean `n == 0`).
-    accums: BTreeMap<SubjectiveTag, Vec<TagAccum>>,
-    /// The canonical posting lists, updated incrementally; publishes
-    /// clone this map into a fresh snapshot index.
-    entries: BTreeMap<SubjectiveTag, Vec<IndexEntry>>,
+    /// The canonical posting lists, updated in place. A tag's id is its
+    /// position in the ascending tag list. A publish shares every list
+    /// with the previous snapshot; `Arc::make_mut` copies a list only
+    /// when a review first touches it after a publish.
+    entries: PostingMap,
+    /// Semantic cells over `entries`' tag list (the same `Arc`). The
+    /// fold probes them in reverse, and every snapshot published with
+    /// this tag set shares them as its ANN sidecar. Rebuilt only when
+    /// the tag set changes.
+    cells: Arc<AnnCells>,
+    /// Per index tag id, the partial fold per evidence slot (aligned
+    /// with `evidence`; missing trailing slots mean `n == 0`).
+    accums: Vec<Vec<TagAccum>>,
+    /// Per evidence slot, the ascending ids of the index tags with
+    /// `n > 0` for that entity: the posting lists its next review moves.
+    matched: Vec<Vec<u32>>,
+}
+
+/// Every index tag with its posting list and fold column: the form the
+/// tag-set change paths rebuild the writer from.
+type TagColumns = BTreeMap<SubjectiveTag, (PostingList, Vec<TagAccum>)>;
+
+impl Writer {
+    fn new(similarity: &ConceptualSimilarity) -> Self {
+        let entries = PostingMap::default();
+        Writer {
+            mem: MemSegment::default(),
+            sealed: Vec::new(),
+            next_seq: 0,
+            ingested: 0,
+            evidence: Vec::new(),
+            entity_slot: BTreeMap::new(),
+            cells: Arc::new(AnnCells::semantic(similarity, entries.tag_list())),
+            entries,
+            accums: Vec::new(),
+            matched: Vec::new(),
+        }
+    }
+
+    fn take_tags(&mut self) -> TagColumns {
+        let accums = std::mem::take(&mut self.accums);
+        std::mem::take(&mut self.entries)
+            .iter()
+            .zip(accums)
+            .map(|((tag, list), column)| (tag.clone(), (Arc::clone(list), column)))
+            .collect()
+    }
+
+    /// Install a new tag set: rebuild the cells and re-derive the
+    /// per-slot matched lists.
+    fn set_tags(&mut self, tags: TagColumns, similarity: &ConceptualSimilarity) {
+        let mut accums = Vec::with_capacity(tags.len());
+        self.entries = tags
+            .into_iter()
+            .map(|(tag, (list, column))| {
+                accums.push(column);
+                (tag, list)
+            })
+            .collect();
+        self.matched = vec![Vec::new(); self.evidence.len()];
+        for (id, column) in accums.iter().enumerate() {
+            for (slot, acc) in column.iter().enumerate() {
+                if acc.n > 0 {
+                    self.matched[slot].push(id as u32);
+                }
+            }
+        }
+        self.accums = accums;
+        self.cells = Arc::new(AnnCells::semantic(similarity, self.entries.tag_list()));
+    }
 }
 
 /// Fold `tags` into the accumulator columns for one entity slot and
-/// grow `evidence` bookkeeping. Returns the index tags whose posting
-/// list must be recomputed (any tag with matches for this entity: its
-/// degree inputs — fold, review count, total tag count — changed).
+/// grow `evidence` bookkeeping. Returns the slot. Every tag in
+/// `matched[slot]` (now including the ones this review matched for the
+/// first time) needs its posting entry moved: its degree inputs (fold,
+/// review count, total tag count) changed.
+///
+/// Only the cells' candidates are folded: the reverse probe at θ_index
+/// prunes a cell only when its similarity upper bound cannot clear
+/// θ_index, and the bound is symmetric, so a pruned index tag scores
+/// `≤ θ_index` against the review tag and would add nothing. Candidate
+/// scores are bitwise `tag_similarity`, and the outer loop walks review
+/// tags in order, so each accumulator sees the same f32 additions in
+/// the same order as the exhaustive fold.
 fn apply_review(
     w: &mut Writer,
     entity_id: usize,
     tags: &[SubjectiveTag],
     similarity: &ConceptualSimilarity,
     config: &IndexConfig,
-) -> Vec<SubjectiveTag> {
+) -> usize {
     let slot = match w.entity_slot.get(&entity_id) {
         Some(&slot) => slot,
         None => {
@@ -176,41 +275,129 @@ fn apply_review(
                 review_tags: Vec::new(),
             });
             w.entity_slot.insert(entity_id, slot);
+            w.matched.push(Vec::new());
             slot
         }
     };
     w.evidence[slot].review_count += 1;
     w.evidence[slot].review_tags.extend(tags.iter().cloned());
-    let slots = w.evidence.len();
-    let mut touched = Vec::new();
-    for (tag, accs) in w.accums.iter_mut() {
-        if accs.len() < slots {
-            accs.resize(slots, TagAccum::default());
-        }
-        let acc = &mut accs[slot];
-        for t in tags {
-            let sim = similarity.tag_similarity(tag, t);
-            if sim > config.theta_index {
-                acc.sum += sim;
-                acc.n += 1;
+    let mut fresh = Vec::new();
+    for t in tags {
+        let scored = w.cells.scored_candidates(similarity, t, config.theta_index);
+        saccs_obs::counter!("index.ingest.fold_candidates").add(scored.len() as u64);
+        for (id, sim) in scored {
+            if sim <= config.theta_index {
+                continue;
             }
-        }
-        if acc.n > 0 {
-            touched.push(tag.clone());
+            let column = &mut w.accums[id as usize];
+            if column.len() <= slot {
+                column.resize(slot + 1, TagAccum::default());
+            }
+            let acc = &mut column[slot];
+            if acc.n == 0 {
+                fresh.push(id);
+            }
+            acc.sum += sim;
+            acc.n += 1;
         }
     }
-    touched
+    if !fresh.is_empty() {
+        let matched = &mut w.matched[slot];
+        matched.extend_from_slice(&fresh);
+        matched.sort_unstable();
+    }
+    slot
+}
+
+/// Move the entity in `slot` to its new place in every posting list it
+/// is matched under (a newly matched list gets its first entry). Each
+/// list keeps the order [`finalize_postings`]' stable sort gives a
+/// from-scratch build, degree descending by `total_cmp` with ties in
+/// evidence-slot order, so the entry's new position is a binary search
+/// and only the entries between its old and new position shift. The
+/// normalized column is re-divided only when the list's max changed.
+/// Returns the number of lists touched.
+fn update_postings(w: &mut Writer, slot: usize, config: &IndexConfig) -> usize {
+    let Writer {
+        evidence,
+        entity_slot,
+        accums,
+        matched,
+        entries,
+        ..
+    } = w;
+    let ev = &evidence[slot];
+    let slot_of = |entity: usize| entity_slot.get(&entity).copied().unwrap_or(usize::MAX);
+    for &id in &matched[slot] {
+        let acc = accums[id as usize][slot];
+        let degree = degree_value(
+            config.degree_formula,
+            acc.sum,
+            acc.n as usize,
+            ev.review_count,
+            ev.review_tags.len(),
+        );
+        let list = Arc::make_mut(entries.list_mut(id as usize));
+        let old_max = list.first().map(|e| e.degree_of_truth.to_bits());
+        // Where the entry sits now (a newly matched entity is not listed
+        // yet). The scan costs less than the copy `make_mut` just made.
+        let from = list.iter().position(|e| e.entity_id == ev.entity_id);
+        // Entries ordered before the new key, the old entry included
+        // exactly when its old key is: then it sits before this point.
+        let before = list.partition_point(|e| match e.degree_of_truth.total_cmp(&degree) {
+            Ordering::Greater => true,
+            Ordering::Equal => slot_of(e.entity_id) < slot,
+            Ordering::Less => false,
+        });
+        let entry = IndexEntry {
+            entity_id: ev.entity_id,
+            degree_of_truth: degree,
+            normalized: 0.0,
+        };
+        // Shift only the entries between the old and the new position.
+        let at = match from {
+            Some(from) if from < before => {
+                list[from..before].rotate_left(1);
+                before - 1
+            }
+            Some(from) => {
+                list[before..=from].rotate_right(1);
+                before
+            }
+            None => {
+                list.insert(before, entry);
+                before
+            }
+        };
+        list[at] = entry;
+        let max = list[0].degree_of_truth;
+        if old_max == Some(max.to_bits()) {
+            if max > 0.0 {
+                list[at].normalized = degree / max;
+            }
+        } else {
+            for e in list.iter_mut() {
+                e.normalized = if max > 0.0 {
+                    e.degree_of_truth / max
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
+    matched[slot].len()
 }
 
 /// Recompute one tag's posting list from its accumulator column —
 /// entities in first-seen order, shared [`degree_value`] /
 /// [`finalize_postings`] math, hence bitwise equal to
-/// `SubjectiveIndex::build_postings` over the same evidence.
+/// `SubjectiveIndex::build_postings` over the same evidence. Used when
+/// a tag enters the index and at recovery; reviews move single entries.
 fn postings_from_accums(
     accs: &[TagAccum],
     evidence: &[EntityEvidence],
     config: &IndexConfig,
-) -> Vec<IndexEntry> {
+) -> PostingList {
     let mut postings: Vec<IndexEntry> = accs
         .iter()
         .zip(evidence)
@@ -229,32 +416,95 @@ fn postings_from_accums(
         })
         .collect();
     finalize_postings(&mut postings);
-    postings
+    Arc::new(postings)
 }
 
-/// Build a fresh accumulator column for a newly added index tag by
-/// folding every entity's review tags in order (the same fold
-/// `SubjectiveIndex::degree_of_truth` performs).
-fn accum_column(
-    evidence: &[EntityEvidence],
-    tag: &SubjectiveTag,
+/// The distinct review tags of all evidence, bucketed into semantic
+/// cells once per [`LiveIndex::add_tags`] call: the fold column of a new
+/// index tag then scores only the review tags its probe keeps at
+/// θ_index (a pruned one scores `≤ θ_index` and would add nothing), each
+/// distinct tag once.
+struct EvidenceTags {
+    tags: Vec<SubjectiveTag>,
+    cells: SemanticCandidateIndex,
+    /// Per evidence slot, its review tags as ids into `tags`, in order.
+    ids: Vec<Vec<u32>>,
+}
+
+impl EvidenceTags {
+    fn new(evidence: &[EntityEvidence], similarity: &ConceptualSimilarity) -> Self {
+        let mut distinct: BTreeMap<&SubjectiveTag, u32> = evidence
+            .iter()
+            .flat_map(|ev| ev.review_tags.iter().map(|t| (t, 0)))
+            .collect();
+        for (id, slot) in distinct.values_mut().enumerate() {
+            *slot = id as u32;
+        }
+        let ids = evidence
+            .iter()
+            .map(|ev| ev.review_tags.iter().map(|t| distinct[t]).collect())
+            .collect();
+        let tags: Vec<SubjectiveTag> = distinct.into_keys().cloned().collect();
+        EvidenceTags {
+            cells: SemanticCandidateIndex::build(similarity, &tags),
+            tags,
+            ids,
+        }
+    }
+
+    /// The accumulator column of a newly added index tag: every entity's
+    /// review tags folded in order, with the scores the cells' rescore
+    /// gives — bitwise `tag_similarity(tag, t)` — so the column equals
+    /// the fold `SubjectiveIndex::degree_of_truth` performs.
+    fn column(
+        &self,
+        tag: &SubjectiveTag,
+        similarity: &ConceptualSimilarity,
+        config: &IndexConfig,
+    ) -> Vec<TagAccum> {
+        let mut sims = vec![f32::NEG_INFINITY; self.tags.len()];
+        for (id, sim) in self
+            .cells
+            .rescore(similarity, tag, config.theta_index, &self.tags)
+            .scored
+        {
+            sims[id as usize] = sim;
+        }
+        self.ids
+            .iter()
+            .map(|ids| {
+                let mut acc = TagAccum::default();
+                for &id in ids {
+                    let sim = sims[id as usize];
+                    if sim > config.theta_index {
+                        acc.sum += sim;
+                        acc.n += 1;
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+}
+
+/// The writer's current state as an immutable snapshot: the tag list,
+/// the posting lists and the cells are shared `Arc`s, so this copies
+/// pointers, never a tag or a posting list.
+fn snapshot_of(
     similarity: &ConceptualSimilarity,
     config: &IndexConfig,
-) -> Vec<TagAccum> {
-    evidence
-        .iter()
-        .map(|ev| {
-            let mut acc = TagAccum::default();
-            for t in &ev.review_tags {
-                let sim = similarity.tag_similarity(tag, t);
-                if sim > config.theta_index {
-                    acc.sum += sim;
-                    acc.n += 1;
-                }
-            }
-            acc
-        })
-        .collect()
+    w: &Writer,
+) -> Arc<LiveSnapshot> {
+    Arc::new(LiveSnapshot {
+        index: SubjectiveIndex::from_postings(
+            similarity.clone(),
+            config.clone(),
+            w.entries.clone(),
+            &w.cells,
+        ),
+        ingested: w.ingested,
+        segments: w.sealed.len(),
+    })
 }
 
 #[derive(Default)]
@@ -286,14 +536,8 @@ struct LiveInner {
 impl LiveInner {
     /// Publish the writer's current state as a fresh immutable snapshot.
     fn publish_locked(&self, w: &Writer) {
-        let mut index = SubjectiveIndex::new(self.similarity.clone(), self.config.clone());
-        index.replace_entries(w.entries.clone());
-        let snapshot = LiveSnapshot {
-            index,
-            ingested: w.ingested,
-            segments: w.sealed.len(),
-        };
-        *self.published.write() = Arc::new(snapshot);
+        let snapshot = snapshot_of(&self.similarity, &self.config, w);
+        *self.published.write() = snapshot;
     }
 
     /// Seal the mem-segment (behind the `index.seal` failpoint — an
@@ -349,7 +593,7 @@ impl LiveInner {
             .map(|(s, _)| (s.first_seq(), s.last_seq()))
             .collect();
         let postings_file = if with_postings && first_err.is_none() {
-            match store.write_postings(&w.entries) {
+            match store.write_postings(w.entries.iter().map(|(t, l)| (t, l.as_slice()))) {
                 Ok(name) => Some(name),
                 Err(e) => {
                     first_err = Some(e);
@@ -424,12 +668,13 @@ impl LiveIndex {
     /// A memory-only live index (no persistence): segments seal and
     /// merge in memory, recovery is not available.
     pub fn new(similarity: ConceptualSimilarity, config: IndexConfig, live: LiveConfig) -> Self {
+        let writer = Writer::new(&similarity);
         Self::build(
             similarity,
             config,
             live,
             None,
-            Writer::default(),
+            writer,
             UserTagHistory::new(),
         )
     }
@@ -448,12 +693,16 @@ impl LiveIndex {
         live: LiveConfig,
     ) -> Result<Self, StoreError> {
         let store = SegmentStore::open(dir)?;
-        let mut w = Writer::default();
+        let mut w = Writer::new(&similarity);
         let mut pending = UserTagHistory::new();
         if let Some(loaded) = store.load()? {
-            for tag in &loaded.manifest.tags {
-                w.accums.insert(tag.clone(), Vec::new());
-            }
+            let tags = loaded
+                .manifest
+                .tags
+                .iter()
+                .map(|tag| (tag.clone(), (PostingList::default(), Vec::new())))
+                .collect();
+            w.set_tags(tags, &similarity);
             for segment in &loaded.segments {
                 for record in segment.records() {
                     let _ =
@@ -461,16 +710,22 @@ impl LiveIndex {
                     w.ingested += 1;
                 }
             }
-            let tags: Vec<SubjectiveTag> = w.accums.keys().cloned().collect();
-            for tag in tags {
-                let postings = match w.accums.get(&tag) {
-                    Some(accs) => postings_from_accums(accs, &w.evidence, &config),
-                    None => Vec::new(),
-                };
-                w.entries.insert(tag, postings);
+            let Writer {
+                accums,
+                evidence,
+                entries,
+                ..
+            } = &mut w;
+            for (id, accs) in accums.iter().enumerate() {
+                *entries.list_mut(id) = postings_from_accums(accs, evidence, &config);
             }
             if let Some(checkpointed) = &loaded.postings {
-                if *checkpointed != w.entries {
+                let agree = checkpointed.len() == w.entries.len()
+                    && checkpointed
+                        .iter()
+                        .zip(w.entries.iter())
+                        .all(|((a, x), (b, y))| a == b && *x == **y);
+                if !agree {
                     return Err(StoreError::Corrupt(
                         "checkpointed postings disagree with segment replay".into(),
                     ));
@@ -510,29 +765,17 @@ impl LiveIndex {
         pending: UserTagHistory,
     ) -> Self {
         let background = live.background_compaction;
+        let published = RwLock::new(snapshot_of(&similarity, &config, &writer));
         let inner = Arc::new(LiveInner {
             similarity,
             config,
             live,
             store,
             writer: Mutex::new(writer),
-            published: RwLock::new(Arc::new(LiveSnapshot {
-                index: SubjectiveIndex::new(
-                    ConceptualSimilarity::new(saccs_text::Lexicon::new(
-                        saccs_text::Domain::Restaurants,
-                    )),
-                    IndexConfig::default(),
-                ),
-                ingested: 0,
-                segments: 0,
-            })),
+            published,
             pending: Mutex::new(pending),
             comp: CompactorSignal::default(),
         });
-        {
-            let w = inner.writer.lock();
-            inner.publish_locked(&w);
-        }
         let compactor = background.then(|| {
             let worker = Arc::clone(&inner);
             saccs_rt::spawn_worker("index-compact", move || loop {
@@ -566,10 +809,12 @@ impl LiveIndex {
     }
 
     /// Ingest one review: assign it the next global seq, extend the
-    /// entity's evidence and every index tag's partial fold, recompute
-    /// the touched posting lists, and publish a fresh snapshot. Seals
-    /// (and persists) the mem-segment when it reaches `seal_every`, and
-    /// triggers compaction when the sealed count reaches `max_segments`.
+    /// entity's evidence and the partial folds of the index tags its
+    /// tags can match, move the entity's entry in every posting list it
+    /// is listed under, and publish a fresh snapshot that shares every
+    /// other list. Seals (and persists) the mem-segment when it reaches
+    /// `seal_every`, and triggers compaction when the sealed count
+    /// reaches `max_segments`.
     pub fn add_review(&self, entity_id: usize, tags: &[SubjectiveTag]) -> IngestReceipt {
         let inner = &self.inner;
         let mut w = inner.writer.lock();
@@ -581,19 +826,23 @@ impl LiveIndex {
             entity_id,
             tags: tags.to_vec(),
         });
-        let touched = apply_review(&mut w, entity_id, tags, &inner.similarity, &inner.config);
-        for tag in touched {
-            let postings = match w.accums.get(&tag) {
-                Some(accs) => postings_from_accums(accs, &w.evidence, &inner.config),
-                None => Vec::new(),
-            };
-            w.entries.insert(tag, postings);
-        }
+        let slot = {
+            let _fold = saccs_obs::span!("index.ingest.fold");
+            apply_review(&mut w, entity_id, tags, &inner.similarity, &inner.config)
+        };
+        let touched = {
+            let _postings = saccs_obs::span!("index.ingest.postings");
+            update_postings(&mut w, slot, &inner.config)
+        };
+        saccs_obs::counter!("index.ingest.touched_lists").add(touched as u64);
         saccs_obs::counter!("index.ingest.reviews").inc();
         let sealed = inner.live.seal_every > 0
             && w.mem.len() >= inner.live.seal_every
             && inner.seal_locked(&mut w);
-        inner.publish_locked(&w);
+        {
+            let _publish = saccs_obs::span!("index.ingest.publish");
+            inner.publish_locked(&w);
+        }
         let segments = w.sealed.len();
         drop(w);
         saccs_obs::trace::record(saccs_obs::trace::TraceEvent::Ingest { sealed });
@@ -616,21 +865,24 @@ impl LiveIndex {
     pub fn add_tags(&self, tags: &[SubjectiveTag]) -> usize {
         let inner = &self.inner;
         let mut w = inner.writer.lock();
+        if tags.iter().all(|tag| w.entries.contains_key(tag)) {
+            return 0;
+        }
+        let mut all = w.take_tags();
+        let evidence_tags = EvidenceTags::new(&w.evidence, &inner.similarity);
         let mut added = 0usize;
         for tag in tags {
-            if w.entries.contains_key(tag) {
+            if all.contains_key(tag) {
                 continue;
             }
-            let accs = accum_column(&w.evidence, tag, &inner.similarity, &inner.config);
+            let accs = evidence_tags.column(tag, &inner.similarity, &inner.config);
             let postings = postings_from_accums(&accs, &w.evidence, &inner.config);
-            w.accums.insert(tag.clone(), accs);
-            w.entries.insert(tag.clone(), postings);
+            all.insert(tag.clone(), (postings, accs));
             added += 1;
         }
-        if added > 0 {
-            inner.publish_locked(&w);
-            let _ = inner.commit_locked(&mut w, false);
-        }
+        w.set_tags(all, &inner.similarity);
+        inner.publish_locked(&w);
+        let _ = inner.commit_locked(&mut w, false);
         added
     }
 
@@ -784,7 +1036,15 @@ mod tests {
     /// From-scratch comparator: replay the log into a frozen index the
     /// way a batch pipeline would (entities in first-seen order).
     fn rebuild(log: &[ReviewRecord], tags: &[SubjectiveTag]) -> SubjectiveIndex {
-        let mut idx = SubjectiveIndex::new(sim(), IndexConfig::default());
+        rebuild_with(log, tags, IndexConfig::default())
+    }
+
+    fn rebuild_with(
+        log: &[ReviewRecord],
+        tags: &[SubjectiveTag],
+        config: IndexConfig,
+    ) -> SubjectiveIndex {
+        let mut idx = SubjectiveIndex::new(sim(), config);
         let mut evidence: Vec<EntityEvidence> = Vec::new();
         for record in log {
             match evidence
@@ -811,6 +1071,28 @@ mod tests {
 
     fn bits(ranking: &[(usize, f32)]) -> Vec<(usize, u32)> {
         ranking.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+    }
+
+    /// A posting list as `(entity, degree bits, normalized bits)`.
+    fn entry_bits(postings: Option<&[IndexEntry]>) -> Vec<(usize, u32, u32)> {
+        postings
+            .unwrap_or_default()
+            .iter()
+            .map(|e| {
+                (
+                    e.entity_id,
+                    e.degree_of_truth.to_bits(),
+                    e.normalized.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    fn ann_on() -> IndexConfig {
+        IndexConfig {
+            ann_enabled: true,
+            ..IndexConfig::default()
+        }
     }
 
     const TAGS: [(&str, &str); 3] = [
@@ -1059,6 +1341,129 @@ mod tests {
         assert_eq!(
             bits(&live.probe_pinned(&after, &tag("quiet", "place"))),
             bits(&frozen.probe_readonly(&tag("quiet", "place")))
+        );
+    }
+    #[test]
+    fn incremental_moves_keep_first_seen_tie_order() {
+        // Pure rate (`Σ sim / |T_e|`) makes equal degrees easy to
+        // engineer and lets a review *lower* a degree.
+        let config = IndexConfig {
+            degree_formula: crate::index::DegreeFormula::PureRate,
+            ..IndexConfig::default()
+        };
+        let live = LiveIndex::new(sim(), config.clone(), LiveConfig::default());
+        let good_food = tag("good", "food");
+        live.add_tags(&index_tags());
+        let order = |live: &LiveIndex| -> Vec<usize> {
+            entry_bits(live.pin().index().lookup(&good_food))
+                .iter()
+                .map(|&(id, _, _)| id)
+                .collect()
+        };
+        let steps: [(usize, &[(&str, &str)], [usize; 3]); 13] = [
+            (0, &[("good", "food")], [0, 0, 0]),
+            (1, &[("good", "food")], [0, 1, 0]),
+            // Three equal degrees: first-seen order.
+            (2, &[("good", "food")], [0, 1, 2]),
+            // Entity 1 drops below the tie.
+            (1, &[("romantic", "ambiance")], [0, 2, 1]),
+            // Entity 0 held the max slot and drops into a tie with 1,
+            // ahead of it by first-seen order; the max itself holds.
+            (0, &[("romantic", "ambiance")], [2, 0, 1]),
+            // All equal again, at a new max: first-seen order.
+            (2, &[("romantic", "ambiance")], [0, 1, 2]),
+            // Entity 2 jumps two places to become the sole max.
+            (2, &[("good", "food"), ("good", "food")], [2, 0, 1]),
+            // Entity 1 jumps two places into a tie with the max, ahead
+            // of it by first-seen order.
+            (1, &[("good", "food"), ("good", "food")], [1, 2, 0]),
+            // The last entry drops but keeps its place.
+            (0, &[("romantic", "ambiance")], [1, 2, 0]),
+            // The first of the two max entries drops one place.
+            (1, &[("romantic", "ambiance")], [2, 1, 0]),
+            // The sole max drops into a tie below: a new max, ties in
+            // first-seen order, every entry renormalizes.
+            (2, &[("romantic", "ambiance")], [1, 2, 0]),
+            // Entity 2 jumps one place to become the sole max again...
+            (
+                2,
+                &[("good", "food"), ("good", "food"), ("good", "food")],
+                [2, 1, 0],
+            ),
+            // ...and drops, but stays the max.
+            (2, &[("romantic", "ambiance")], [2, 1, 0]),
+        ];
+        for (entity, review, expected) in steps {
+            let review: Vec<SubjectiveTag> = review.iter().map(|(o, a)| tag(o, a)).collect();
+            live.add_review(entity, &review);
+            let frozen = rebuild_with(&live.review_log(), &index_tags(), config.clone());
+            let snapshot = live.pin();
+            for t in index_tags() {
+                assert_eq!(
+                    entry_bits(snapshot.index().lookup(&t)),
+                    entry_bits(frozen.lookup(&t)),
+                    "posting list {t} after review of {entity}"
+                );
+            }
+            let got = order(&live);
+            assert_eq!(got, expected[..got.len()], "after review of {entity}");
+        }
+    }
+
+    #[test]
+    fn publish_shares_cells_until_the_tag_set_changes() {
+        let live = LiveIndex::new(sim(), ann_on(), LiveConfig::default());
+        live.add_tags(&index_tags());
+        live.add_review(0, &[tag("good", "food"), tag("nice", "staff")]);
+        let first = live.pin();
+        live.add_review(1, &[tag("good", "food")]);
+        let second = live.pin();
+        let cells = |s: &LiveSnapshot| s.index().ann_cells().cloned().unwrap();
+        assert!(Arc::ptr_eq(&cells(&first), &cells(&second)));
+        // The list the review touched was copied; the one it did not
+        // touch is the same allocation in both snapshots.
+        let list = |s: &LiveSnapshot, t: &SubjectiveTag| s.index().lookup(t).unwrap().as_ptr();
+        let (touched, untouched) = (tag("good", "food"), tag("nice", "staff"));
+        assert_ne!(list(&first, &touched), list(&second, &touched));
+        assert_eq!(list(&first, &untouched), list(&second, &untouched));
+        assert_eq!(first.index().lookup(&untouched).unwrap().len(), 1);
+        assert_eq!(live.add_tags(&[tag("quiet", "place")]), 1);
+        let third = live.pin();
+        assert!(!Arc::ptr_eq(&cells(&second), &cells(&third)));
+        assert_eq!(cells(&third).tags().len(), index_tags().len() + 1);
+        // Re-adding known tags keeps the tag set, hence the cells.
+        assert_eq!(live.add_tags(&index_tags()), 0);
+        live.add_review(1, &[tag("quiet", "place")]);
+        assert!(Arc::ptr_eq(&cells(&third), &cells(&live.pin())));
+    }
+
+    #[test]
+    fn pinned_snapshot_keeps_its_posting_lists_bit_for_bit() {
+        let live = LiveIndex::new(sim(), ann_on(), LiveConfig::default());
+        live.add_tags(&index_tags());
+        for (entity, tags) in &STREAM[..4] {
+            let review: Vec<SubjectiveTag> = tags.iter().map(|(o, a)| tag(o, a)).collect();
+            live.add_review(*entity, &review);
+        }
+        let pinned = live.pin();
+        let lists = |s: &LiveSnapshot| -> Vec<Vec<(usize, u32, u32)>> {
+            index_tags()
+                .iter()
+                .map(|t| entry_bits(s.index().lookup(t)))
+                .collect()
+        };
+        let before = lists(&pinned);
+        for round in 0..5 {
+            for (entity, tags) in STREAM {
+                let review: Vec<SubjectiveTag> = tags.iter().map(|(o, a)| tag(o, a)).collect();
+                live.add_review(entity + round, &review);
+            }
+        }
+        assert_eq!(lists(&pinned), before);
+        assert_ne!(
+            lists(&live.pin()),
+            before,
+            "later reviews must move the lists"
         );
     }
 }

@@ -408,15 +408,18 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Write the posting lists as a checkpoint image named by content
-    /// hash (`postings-<hash>.bin`), returning the file name for the
+    /// Write the posting lists — `(tag, list)` in ascending tag order —
+    /// as a checkpoint image named by content hash
+    /// (`postings-<hash>.bin`), returning the file name for the
     /// manifest. Content addressing makes the write idempotent and
     /// guarantees an already-committed manifest never sees its
     /// referenced image change underneath it.
-    pub fn write_postings(
-        &self,
-        entries: &BTreeMap<SubjectiveTag, Vec<IndexEntry>>,
-    ) -> Result<String, StoreError> {
+    pub fn write_postings<'a, I>(&self, entries: I) -> Result<String, StoreError>
+    where
+        I: IntoIterator<Item = (&'a SubjectiveTag, &'a [IndexEntry])>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let entries = entries.into_iter();
         let mut out = Vec::new();
         out.extend_from_slice(POSTINGS_MAGIC);
         codec::put_varint(&mut out, entries.len() as u64);
@@ -638,7 +641,9 @@ mod tests {
                 normalized: 1.0,
             }],
         );
-        let postings_file = store.write_postings(&entries).unwrap();
+        let postings_file = store
+            .write_postings(entries.iter().map(|(t, p)| (t, p.as_slice())))
+            .unwrap();
         let manifest = Manifest {
             next_seq: 10,
             segments: vec![(seg.first_seq(), seg.last_seq())],

@@ -10,15 +10,16 @@
 //!   compactor groups or orders segments, the merged record stream is
 //!   the seq-sorted set, nothing more and nothing less.
 //! * **Incremental = from-scratch** — a [`LiveIndex`] fed an arbitrary
-//!   review stream answers every probe with exactly the bits a frozen
-//!   [`SubjectiveIndex`] built from the same evidence answers, at every
-//!   prefix of the stream.
+//!   review stream holds exactly the posting lists (entities, order,
+//!   degree and normalized bits) a frozen [`SubjectiveIndex`] built from
+//!   the same evidence holds, and answers every probe with the same
+//!   bits, at every prefix of the stream.
 
 use proptest::prelude::*;
 use saccs_index::codec::{
     get_postings, get_varint, put_postings, put_varint, zigzag_decode, zigzag_encode,
 };
-use saccs_index::index::{EntityEvidence, IndexConfig, IndexEntry, SubjectiveIndex};
+use saccs_index::index::{DegreeFormula, EntityEvidence, IndexConfig, IndexEntry, SubjectiveIndex};
 use saccs_index::{merge_segments, LiveConfig, LiveIndex, ReviewRecord, SealedSegment};
 use saccs_text::{ConceptualSimilarity, Domain, Lexicon, SubjectiveTag};
 
@@ -45,6 +46,21 @@ fn mk_tag(&(o, a): &(usize, usize)) -> SubjectiveTag {
 
 fn bits(ranked: &[(usize, f32)]) -> Vec<(usize, u32)> {
     ranked.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+}
+
+/// A posting list as `(entity, degree bits, normalized bits)`.
+fn entry_bits(postings: Option<&[IndexEntry]>) -> Option<Vec<(usize, u32, u32)>> {
+    postings.map(|list| {
+        list.iter()
+            .map(|e| {
+                (
+                    e.entity_id,
+                    e.degree_of_truth.to_bits(),
+                    e.normalized.to_bits(),
+                )
+            })
+            .collect()
+    })
 }
 
 /// The from-scratch comparator: replay `log` the way a batch pipeline
@@ -207,22 +223,35 @@ proptest! {
 
     /// The tentpole equivalence, fuzzed: a live index fed an arbitrary
     /// review stream — under an arbitrary seal cadence, with and
-    /// without compaction — answers every probe bitwise identically to
-    /// a from-scratch build at *every prefix* of the stream.
+    /// without compaction, under every degree formula (the rate
+    /// formulas let a review lower a degree), with more index tags
+    /// added halfway through — holds every index tag's full posting
+    /// list and answers every probe bitwise identically to a
+    /// from-scratch build at *every prefix* of the stream.
     #[test]
     fn incremental_ingest_equals_from_scratch_rebuild_bitwise(
         stream in prop::collection::vec(
-            (0usize..5, prop::collection::vec((0usize..8, 0usize..6), 0..4)),
-            1..16,
+            (0usize..8, prop::collection::vec((0usize..8, 0usize..6), 0..4)),
+            1..40,
         ),
         raw_tags in prop::collection::vec((0usize..8, 0usize..6), 1..6),
+        raw_late_tags in prop::collection::vec((0usize..8, 0usize..6), 0..3),
         raw_probes in prop::collection::vec((0usize..8, 0usize..6), 1..4),
         seal_every in 0usize..5,
         ann in prop::bool::ANY,
+        formula in 0usize..5,
     ) {
-        let tags: Vec<SubjectiveTag> = raw_tags.iter().map(mk_tag).collect();
+        let mut tags: Vec<SubjectiveTag> = raw_tags.iter().map(mk_tag).collect();
+        let late_tags: Vec<SubjectiveTag> = raw_late_tags.iter().map(mk_tag).collect();
         let probes: Vec<SubjectiveTag> = raw_probes.iter().map(mk_tag).collect();
-        let config = IndexConfig { ann_enabled: ann, ..IndexConfig::default() };
+        let degree_formula = [
+            DegreeFormula::Equation1,
+            DegreeFormula::MatchVolume,
+            DegreeFormula::MentionRate,
+            DegreeFormula::PureRate,
+            DegreeFormula::PureMean,
+        ][formula];
+        let config = IndexConfig { ann_enabled: ann, degree_formula, ..IndexConfig::default() };
         let live = LiveIndex::new(
             sim(),
             config.clone(),
@@ -235,11 +264,23 @@ proptest! {
         live.add_tags(&tags);
         let mut log: Vec<ReviewRecord> = Vec::new();
         for (i, (entity_id, review)) in stream.iter().enumerate() {
+            if i == stream.len() / 2 {
+                live.add_tags(&late_tags);
+                tags.extend(late_tags.iter().cloned());
+            }
             let review_tags: Vec<SubjectiveTag> = review.iter().map(mk_tag).collect();
             let receipt = live.add_review(*entity_id, &review_tags);
             log.push(ReviewRecord { seq: receipt.seq, entity_id: *entity_id, tags: review_tags });
             let frozen = rebuild(&log, &tags, &config);
             let snapshot = live.pin();
+            for tag in &tags {
+                prop_assert_eq!(
+                    entry_bits(snapshot.index().lookup(tag)),
+                    entry_bits(frozen.lookup(tag)),
+                    "prefix {} posting list {:?} (seal_every {}, ann {})",
+                    i, tag, seal_every, ann
+                );
+            }
             for probe in &probes {
                 prop_assert_eq!(
                     bits(&live.probe_pinned(&snapshot, probe)),

@@ -122,25 +122,27 @@ impl Default for SimilarityConfig {
     }
 }
 
+/// Memo for fuzzy canonicalization, one map per side (`[opinion,
+/// aspect]`) so a lookup borrows the term instead of allocating a key.
+/// A pure function of lexicon and config, so every clone of one
+/// [`ConceptualSimilarity`] shares it: a live snapshot's similarity never
+/// rescans the lexicon for a typo the writer already resolved.
+#[derive(Debug, Default)]
+struct FuzzyMemo {
+    hits: std::sync::Mutex<[std::collections::HashMap<String, Option<&'static str>>; 2]>,
+    /// Full lexicon scans performed (memo misses).
+    scans: std::sync::atomic::AtomicU64,
+}
+
 /// The similarity checker of Figure 1.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ConceptualSimilarity {
     lexicon: Lexicon,
     config: SimilarityConfig,
-    /// Memo for fuzzy canonicalization: OOV terms recur constantly in the
-    /// index hot loops (every typo'd review tag is compared against every
-    /// index tag), and each miss otherwise costs a full lexicon scan.
-    fuzzy_cache: std::sync::Mutex<std::collections::HashMap<(String, bool), Option<&'static str>>>,
-}
-
-impl Clone for ConceptualSimilarity {
-    fn clone(&self) -> Self {
-        ConceptualSimilarity {
-            lexicon: self.lexicon.clone(),
-            config: self.config.clone(),
-            fuzzy_cache: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
+    /// OOV terms recur constantly in the index hot loops (every typo'd
+    /// review tag is compared against every candidate index tag), and
+    /// each miss otherwise costs a full lexicon scan.
+    fuzzy_memo: std::sync::Arc<FuzzyMemo>,
 }
 
 impl ConceptualSimilarity {
@@ -152,7 +154,7 @@ impl ConceptualSimilarity {
         ConceptualSimilarity {
             lexicon,
             config,
-            fuzzy_cache: std::sync::Mutex::new(std::collections::HashMap::new()),
+            fuzzy_memo: std::sync::Arc::default(),
         }
     }
 
@@ -255,14 +257,13 @@ impl ConceptualSimilarity {
     /// aspect member / opinion variant when the edit similarity clears the
     /// configured threshold.
     fn fuzzy_canonicalize(&self, term: &str, aspect_side: bool) -> Option<&'static str> {
-        if let Some(&hit) = self
-            .fuzzy_cache
-            .lock()
-            .unwrap()
-            .get(&(term.to_string(), aspect_side))
-        {
+        let side = usize::from(aspect_side);
+        if let Some(&hit) = self.fuzzy_memo.hits.lock().unwrap()[side].get(term) {
             return hit;
         }
+        self.fuzzy_memo
+            .scans
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut best: Option<(&'static str, f32)> = None;
         let mut consider = |cand: &'static str| {
             let s = edit_similarity(term, cand);
@@ -284,10 +285,7 @@ impl ConceptualSimilarity {
             }
         }
         let result = best.map(|(c, _)| c);
-        self.fuzzy_cache
-            .lock()
-            .unwrap()
-            .insert((term.to_string(), aspect_side), result);
+        self.fuzzy_memo.hits.lock().unwrap()[side].insert(term.to_string(), result);
         result
     }
 
@@ -453,6 +451,30 @@ mod tests {
             &SubjectiveTag::new("delicious", "food"),
         );
         assert!(v > 0.7, "typo similarity = {v}");
+    }
+
+    #[test]
+    fn clones_share_the_typo_memo() {
+        let s = sim();
+        let scans = |s: &ConceptualSimilarity| {
+            s.fuzzy_memo
+                .scans
+                .load(std::sync::atomic::Ordering::Relaxed)
+        };
+        let typo = SubjectiveTag::new("delicios", "fodd");
+        let exact = SubjectiveTag::new("delicious", "food");
+        let before = s.tag_similarity(&typo, &exact);
+        let scanned = scans(&s);
+        assert!(scanned > 0, "the typo must miss the lexicon once");
+        // A clone resolves the same typo from the shared memo: identical
+        // score, no further lexicon scan.
+        let clone = s.clone();
+        assert_eq!(
+            clone.tag_similarity(&typo, &exact).to_bits(),
+            before.to_bits()
+        );
+        assert_eq!(scans(&clone), scanned);
+        assert_eq!(scans(&s), scanned);
     }
 
     #[test]
